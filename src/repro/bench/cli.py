@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .harness import BenchReport, append_trajectory, run_suite
+from .harness import append_trajectory, run_suite
 from .macro import MACRO_BENCHMARKS
 from .micro import MICRO_BENCHMARKS
 from .regression import compare_reports, load_report

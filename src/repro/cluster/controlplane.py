@@ -1185,13 +1185,6 @@ def _tenant_latencies(tenant: _Tenant, since: float,
             and since <= r.first_token < until]
 
 
-def _tenant_tail(tenant: _Tenant, since: float, until: float) -> float:
-    latencies = _tenant_latencies(tenant, since, until)
-    if not latencies:
-        return float("inf")  # zero completions: the worst SLA outcome
-    return LatencySummary.of(latencies).p99
-
-
 # ---------------------------------------------------------------------------
 # Parallel sweep over control-plane cases
 # ---------------------------------------------------------------------------

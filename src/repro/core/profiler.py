@@ -14,9 +14,11 @@ two quantities —
 
 Once every candidate has a measurement, :meth:`TransparentProfiler.
 choose` returns the fastest configuration whose turnaround meets the
-bound, falling back to the lowest-turnaround one if none qualifies.
-Repeat measurements update an exponential moving average, so the
-profile adapts if co-location conditions shift.
+bound; if none does, the fastest of those within 2x of the lowest
+turnaround.  "Fastest" orders on (duration, turnaround), and the
+earlier candidate wins a tie.  Repeat measurements update an
+exponential moving average, so the profile adapts if co-location
+conditions shift.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from ..errors import SchedulerError
 from ..gpu.kernel import KernelDescriptor
 from ..gpu.specs import GPUSpec
-from .candidates import ORIGINAL_CONFIG, SchedConfig, generate_candidates
+from .candidates import SchedConfig, SchedKind, generate_candidates
 from .config import TallyConfig
 
 __all__ = ["Measurement", "TransparentProfiler"]
@@ -56,16 +58,23 @@ class TransparentProfiler:
     def __init__(self, spec: GPUSpec, config: TallyConfig) -> None:
         self.spec = spec
         self.config = config
-        # Keyed on the full (frozen, hashable) descriptor, never the
-        # bare name: two kernels sharing a name with different launch
-        # geometry (blocks, threads, shared memory) have different
-        # candidate sets and must not inherit each other's profile.
-        self._candidates: dict[KernelDescriptor, list[SchedConfig]] = {}
-        self._measurements: dict[
-            tuple[KernelDescriptor, SchedConfig], Measurement] = {}
-        self._prewarmed: set[KernelDescriptor] = set()
+        # One table keyed on the full (frozen, hashable) descriptor,
+        # never the bare name: two kernels sharing a name with different
+        # launch geometry (blocks, threads, shared memory) have different
+        # candidate sets and must not inherit each other's profile.  An
+        # entry holds the descriptor's candidates in profiling order as
+        # [config, measurement] records (measurement None until known).
+        self._profiles: dict[KernelDescriptor, list[list]] = {}
         self.profiling_runs = 0
         self.decisions = 0
+
+    def _records(self, descriptor: KernelDescriptor) -> list[list]:
+        records = self._profiles.get(descriptor)
+        if records is None:
+            records = [[c, None] for c in generate_candidates(
+                descriptor, self.spec, self.config)]
+            self._profiles[descriptor] = records
+        return records
 
     # ------------------------------------------------------------------
     def prewarm(self, descriptor: KernelDescriptor) -> None:
@@ -74,15 +83,10 @@ class TransparentProfiler:
         Models a server whose profile cache is already warm; runtime
         measurements keep refining the entries.
         """
-        if descriptor in self._prewarmed:
-            return
-        self._prewarmed.add(descriptor)
-        from .candidates import SchedKind
-
-        for candidate in self.candidates(descriptor):
-            key = (descriptor, candidate)
-            if key in self._measurements:
+        for record in self._records(descriptor):
+            if record[1] is not None:
                 continue
+            candidate = record[0]
             if candidate.kind is SchedKind.SLICED:
                 turnaround = descriptor.slice_duration(
                     self.spec, candidate.blocks_per_slice)
@@ -94,33 +98,33 @@ class TransparentProfiler:
             else:
                 turnaround = descriptor.duration(self.spec)
                 duration = turnaround
-            self._measurements[key] = Measurement(turnaround, duration)
+            record[1] = Measurement(turnaround, duration)
 
     # ------------------------------------------------------------------
     def candidates(self, descriptor: KernelDescriptor) -> list[SchedConfig]:
-        """Candidate configurations for ``descriptor`` (cached per descriptor)."""
-        cached = self._candidates.get(descriptor)
-        if cached is None:
-            cached = generate_candidates(descriptor, self.spec, self.config)
-            self._candidates[descriptor] = cached
-        return cached
+        """Candidate configurations for ``descriptor``, in profiling order."""
+        return [config for config, _ in self._records(descriptor)]
 
     def lookup(self, descriptor: KernelDescriptor,
                config: SchedConfig) -> Measurement | None:
         """The stored measurement, or None if never profiled."""
-        return self._measurements.get((descriptor, config))
+        record = _find(self._profiles.get(descriptor, []), config)
+        return record[1] if record is not None else None
 
     def record(self, descriptor: KernelDescriptor, config: SchedConfig,
                turnaround: float, duration: float) -> None:
-        """Store one measurement sample."""
-        if turnaround < 0 or duration < 0:
+        """Store one measurement sample of one of ``descriptor``'s
+        candidates."""
+        if not (turnaround >= 0 and duration >= 0):  # NaN fails too
             raise SchedulerError("measurements must be non-negative")
-        key = (descriptor, config)
-        existing = self._measurements.get(key)
-        if existing is None:
-            self._measurements[key] = Measurement(turnaround, duration)
+        record = _find(self._records(descriptor), config)
+        if record is None:
+            raise SchedulerError(
+                f"{config.describe()} is not a candidate of {descriptor.name}")
+        if record[1] is None:
+            record[1] = Measurement(turnaround, duration)
         else:
-            existing.update(turnaround, duration)
+            record[1].update(turnaround, duration)
 
     # ------------------------------------------------------------------
     def choose(self, descriptor: KernelDescriptor) -> tuple[SchedConfig, bool]:
@@ -129,66 +133,63 @@ class TransparentProfiler:
         Returns ``(config, is_profiling_run)``.  While unmeasured
         candidates remain, each execution profiles the next one; after
         that, the best measured configuration is used (paper Fig. 3,
-        ``launch_and_profile``).
+        ``launch_and_profile``).  With ``prewarm_profiles`` the first
+        call seeds every candidate, so no execution profiles.
         """
-        if self.config.prewarm_profiles:
-            self.prewarm(descriptor)
-        candidates = self.candidates(descriptor)
-        for candidate in candidates:
-            if (descriptor, candidate) not in self._measurements:
+        records = self._records(descriptor)
+        for config, measurement in records:
+            if measurement is None:
+                if self.config.prewarm_profiles:
+                    self.prewarm(descriptor)
+                    break
                 self.profiling_runs += 1
-                return candidate, True
-
+                return config, True
         self.decisions += 1
-        bound = self.config.turnaround_latency_bound
-        feasible: list[tuple[float, float, SchedConfig]] = []
-        fallback: list[tuple[float, float, SchedConfig]] = []
-        for candidate in candidates:
-            m = self._measurements[(descriptor, candidate)]
-            fallback.append((m.turnaround, m.duration, candidate))
-            if m.turnaround <= bound:
-                feasible.append((m.duration, m.turnaround, candidate))
-        if feasible:
-            return min(feasible, key=lambda item: item[:2])[2], False
-        # Nothing meets the bound.  Chasing the absolute minimum
-        # turnaround can be ruinous (a sub-capacity slice releases the
-        # GPU marginally sooner than a PTB launch but serializes partial
-        # waves, multiplying the kernel's duration), so accept any
-        # config within 2x of the best turnaround and take the fastest.
-        best_turnaround = min(item[0] for item in fallback)
-        pool = [item for item in fallback
-                if item[0] <= 2.0 * best_turnaround]
-        return min(pool, key=lambda item: (item[1], item[0]))[2], False
+        return self._select(records), False
 
     def best_known(self, descriptor: KernelDescriptor) -> SchedConfig:
         """The configuration :meth:`choose` would settle on (no profiling)."""
-        candidates = self.candidates(descriptor)
-        measured = [
-            c for c in candidates
-            if (descriptor, c) in self._measurements
-        ]
-        if not measured:
-            return candidates[0] if candidates else ORIGINAL_CONFIG
-        bound = self.config.turnaround_latency_bound
-        feasible = [
-            c for c in measured
-            if self._measurements[(descriptor, c)].turnaround <= bound
-        ]
-        if feasible:
-            return min(feasible, key=lambda c: (
-                self._measurements[(descriptor, c)].duration,
-                self._measurements[(descriptor, c)].turnaround,
-            ))
-        best_turnaround = min(
-            self._measurements[(descriptor, c)].turnaround
-            for c in measured
-        )
-        pool = [
-            c for c in measured
-            if self._measurements[(descriptor, c)].turnaround
-            <= 2.0 * best_turnaround
-        ]
-        return min(pool, key=lambda c: (
-            self._measurements[(descriptor, c)].duration,
-            self._measurements[(descriptor, c)].turnaround,
-        ))
+        records = self._records(descriptor)
+        measured = [r for r in records if r[1] is not None]
+        return self._select(measured) if measured else records[0][0]
+
+    def _select(self, records: list[list]) -> SchedConfig:
+        """The selection rule (module docstring) over measured records.
+
+        When nothing meets the bound, chasing the absolute minimum
+        turnaround can be ruinous (a sub-capacity slice releases the GPU
+        marginally sooner than a PTB launch but serializes partial
+        waves, multiplying the kernel's duration), hence the 2x pool.
+        """
+        chosen = _fastest(records, self.config.turnaround_latency_bound)
+        if chosen is None:
+            best = min(m.turnaround for _, m in records)
+            chosen = _fastest(records, 2.0 * best)
+        return chosen
+
+
+def _find(records: list[list], config: SchedConfig) -> list | None:
+    """The record of ``config``, or None.  choose() hands out the stored
+    objects, so identity usually matches before any dataclass __eq__."""
+    for record in records:
+        if record[0] is config:
+            return record
+    for record in records:
+        if record[0] == config:
+            return record
+    return None
+
+
+def _fastest(records: list[list], limit: float) -> SchedConfig | None:
+    """The first config with the least (duration, turnaround) among the
+    records whose turnaround is at most ``limit``; None if there is none.
+    (Measurements are never NaN, so this is the tuple order.)"""
+    chosen = best = None
+    for config, m in records:
+        if m.turnaround > limit:
+            continue
+        if best is None or m.duration < best.duration or (
+                m.duration == best.duration
+                and m.turnaround < best.turnaround):
+            chosen, best = config, m
+    return chosen

@@ -270,7 +270,7 @@ class Tally(SharingPolicy):
     # ------------------------------------------------------------------
     def _advance(self, client_id: str, execution: _BEExecution) -> None:
         """Start or continue a best-effort execution if allowed."""
-        if self.high_priority_active or execution.launch is not None:
+        if self._hp_outstanding > 0 or execution.launch is not None:
             return
 
         if execution.config is None:

@@ -63,6 +63,9 @@ from .specs import GPUSpec
 
 __all__ = ["LaunchStatus", "DeviceLaunch", "GPUDevice"]
 
+#: "not yet" for a launch's timestamps
+_NAN = float("nan")
+
 
 class LaunchStatus(enum.Enum):
     """Lifecycle of a device launch."""
@@ -114,7 +117,7 @@ class DeviceLaunch:
         "total_blocks", "block_offset", "blocks_to_start", "blocks_inflight",
         "blocks_done", "tasks_done", "preempt_requested", "killed",
         "blocks_killed", "status", "submitted_at", "arrived_at",
-        "started_at", "finished_at", "seq", "batches",
+        "started_at", "finished_at", "seq", "batches", "is_ptb",
     )
 
     _seq = itertools.count()
@@ -140,7 +143,8 @@ class DeviceLaunch:
         if self.total_blocks < 1:
             raise GPUSimError(f"{descriptor.name}: launch needs >= 1 block")
         self.block_offset = block_offset
-        if config.kind is LaunchKind.PTB:
+        self.is_ptb = config.kind is LaunchKind.PTB
+        if self.is_ptb:
             self.blocks_to_start = min(config.workers, self.total_blocks)
         else:
             self.blocks_to_start = self.total_blocks
@@ -151,20 +155,16 @@ class DeviceLaunch:
         self.killed = False
         self.blocks_killed = 0
         self.status = LaunchStatus.PENDING
-        self.submitted_at = float("nan")
-        self.arrived_at = float("nan")
-        self.started_at = float("nan")
-        self.finished_at = float("nan")
+        self.submitted_at = _NAN
+        self.arrived_at = _NAN
+        self.started_at = _NAN
+        self.finished_at = _NAN
         self.seq = next(DeviceLaunch._seq)
         #: in-flight :class:`_Batch` records (PTB iteration batches or
         #: ORIGINAL wave chains)
         self.batches: list[_Batch] = []
 
     # ------------------------------------------------------------------
-    @property
-    def is_ptb(self) -> bool:
-        return self.config.kind is LaunchKind.PTB
-
     @property
     def tasks_remaining(self) -> int:
         """Logical blocks not yet executed (PTB progress; for resume)."""
@@ -450,7 +450,10 @@ class GPUDevice:
             # The newcomer competes for resources from the next interval
             # boundary on; batched schedules stop being safe now.
             self._truncate_chains()
-        insort(self._resident, launch, key=DeviceLaunch.sort_key)
+        if self._resident:
+            insort(self._resident, launch, key=DeviceLaunch.sort_key)
+        else:
+            self._resident.append(launch)
         if launch.preempt_requested and launch.blocks_inflight == 0:
             # Preempted before it ever dispatched.
             self._finalize(launch)
@@ -552,17 +555,11 @@ class GPUDevice:
                 self._start_batch(launch, fit)
                 progress = True
 
-    def _colocated(self, client_id: str) -> bool:
-        active = self._active_clients
-        if active == 0:
-            return False
-        if active > 1:
-            return True
-        return self._client_inflight.get(client_id, 0) == 0
-
     def _block_duration(self, launch: DeviceLaunch) -> float:
+        """Price of one block of ``launch``, whose client already has
+        blocks in flight: it is co-located iff another client has too."""
         duration = launch.descriptor.block_duration
-        if self._colocated(launch.client_id):
+        if self._active_clients > 1:
             duration *= self.colocation_slowdown
         if self._speed_factor != 1.0:
             duration *= self._speed_factor
@@ -841,7 +838,8 @@ class GPUDevice:
 
     # ------------------------------------------------------------------
     def _finalize(self, launch: DeviceLaunch) -> None:
-        completed = launch.tasks_remaining <= 0
+        completed = (launch.tasks_done if launch.is_ptb
+                     else launch.blocks_done) >= launch.total_blocks
         launch.status = (LaunchStatus.COMPLETED if completed
                          else LaunchStatus.PREEMPTED)
         launch.finished_at = self.engine.now

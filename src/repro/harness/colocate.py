@@ -434,23 +434,31 @@ _STANDALONE_CACHE_MAX = 256
 
 
 def standalone(job: JobSpec, config: RunConfig | None = None) -> JobResult:
-    """Isolated execution of one workload (the normalization baseline)."""
+    """Isolated execution of one workload (the normalization baseline).
+
+    Cached on every input the isolated run reads.  A training driver
+    reads no traffic, load or SLO, so training jobs that differ only
+    there share one baseline.  Priority and crash times are not inputs:
+    the run is solo, at high priority, unfaulted.
+    """
     config = config if config is not None else RunConfig()
-    key = (
-        job.model, job.role, round(job.load, 6), job.traffic_seed,
-        id(job.traffic) if job.traffic is not None else None,
-        config.spec.name, config.duration, config.warmup,
-        config.traffic_kind, config.burst_ratio, config.trace_seed,
-    )
+    key = (job.model, job.role, config.spec, config.duration,
+           config.warmup, config.trace_seed)
+    pinned = None
+    if job.role != "training":
+        pinned = job.traffic
+        key += (round(job.load, 6), job.traffic_seed,
+                id(pinned) if pinned is not None else None,
+                config.traffic_kind, config.burst_ratio, config.slo)
     cached = _STANDALONE_CACHE.get(key)
-    if cached is not None and cached[1] is job.traffic:
+    if cached is not None and cached[1] is pinned:
         return cached[0]
     solo = replace(job, priority=Priority.HIGH)
     result = run_colocation("Ideal", [solo], config)
     job_result = next(iter(result.jobs.values()))
     while len(_STANDALONE_CACHE) >= _STANDALONE_CACHE_MAX:
         _STANDALONE_CACHE.pop(next(iter(_STANDALONE_CACHE)))
-    _STANDALONE_CACHE[key] = (job_result, job.traffic)
+    _STANDALONE_CACHE[key] = (job_result, pinned)
     return job_result
 
 

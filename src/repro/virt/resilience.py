@@ -26,7 +26,7 @@ clock or global RNG state.  See ``docs/fault_tolerance.md``
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Tuple
 
 from ..trace.events import BreakerTransition

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import TallyConfig
-from repro.core.candidates import SchedKind
+from repro.core.candidates import SchedConfig, SchedKind
 from repro.core.profiler import Measurement, TransparentProfiler
 from repro.errors import SchedulerError
 from repro.gpu import A100_SXM4_40GB, KernelDescriptor
@@ -97,6 +97,19 @@ class TestSelection:
         config = profiler.candidates(k)[0]
         with pytest.raises(SchedulerError):
             profiler.record(k, config, turnaround=-1.0, duration=1.0)
+        with pytest.raises(SchedulerError):
+            profiler.record(k, config, turnaround=float("nan"), duration=1.0)
+
+    def test_non_candidate_record_rejected(self):
+        """A configuration the profiler never proposes could never be
+        chosen; recording it is a caller bug, not a silent no-op."""
+        profiler = make_profiler()
+        k = desc()
+        with pytest.raises(SchedulerError):
+            profiler.record(k, SchedConfig(SchedKind.PTB, workers=7),
+                            turnaround=1e-3, duration=1e-2)
+        assert profiler.lookup(k, SchedConfig(SchedKind.PTB, workers=7)) \
+            is None
 
 
 class TestPrewarm:

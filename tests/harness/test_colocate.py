@@ -1,5 +1,7 @@
 """Tests for the co-location experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import Priority
@@ -14,6 +16,7 @@ from repro.harness import (
     standalone,
 )
 from repro.gpu import A100_SXM4_40GB, EventLoop, GPUDevice
+from repro.metrics import ServingSLO
 
 CFG = RunConfig(duration=3.0, warmup=0.5)
 
@@ -125,3 +128,36 @@ class TestStandalone:
         result = standalone(JobSpec.training("pointnet_train"), CFG)
         assert result.latency is None
         assert result.rate > 10
+
+    def test_slo_is_part_of_the_key(self):
+        """Regression: the key left out ``config.slo``, so a strict SLO
+        was served the goodput cached under no SLO."""
+        clear_standalone_cache()
+        job = JobSpec.llm("llama7b_serve")
+        strict = replace(CFG, slo=ServingSLO(ttft=1e-6, inter_token=1e-6))
+        lax = standalone(job, CFG)
+        assert lax.serving.slo_attainment == 1.0
+        tight = standalone(job, strict)
+        assert tight is not lax
+        assert tight.serving.goodput == 0.0
+        assert tight.serving.slo_attainment == 0.0
+
+    def test_gpu_spec_is_part_of_the_key(self):
+        """Two specs sharing a name are different GPUs."""
+        clear_standalone_cache()
+        job = JobSpec.training("pointnet_train")
+        twin = replace(A100_SXM4_40GB, kernel_launch_overhead=1e-3)
+        full = standalone(job, CFG)
+        half = standalone(job, replace(CFG, spec=twin))
+        assert half is not full
+        assert half.completed < full.completed
+
+    def test_training_ignores_traffic_inputs(self):
+        """A training driver reads no load or traffic seed: one baseline
+        serves every such variant."""
+        clear_standalone_cache()
+        first = standalone(JobSpec.training("pointnet_train"), CFG)
+        again = standalone(
+            JobSpec.training("pointnet_train", traffic_seed=7, load=0.9),
+            replace(CFG, traffic_kind="poisson", burst_ratio=3.0))
+        assert again is first
